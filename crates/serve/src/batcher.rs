@@ -1,6 +1,13 @@
 //! Micro-batching: a single worker drains a request queue, coalescing
 //! whatever arrives within a bounded wait into one [`Engine::handle_batch`]
 //! call, so concurrent users share GEMM work.
+//!
+//! Requests enter through [`Batcher::enqueue`], which never blocks: the
+//! caller hands over a reply callback and the worker runs it once the
+//! request's batch is scored. The TCP front end uses the callback to
+//! serialize and write the reply from the worker, so one connection can
+//! keep many requests in flight; [`Batcher::submit`] and
+//! [`Batcher::submit_obs`] wrap the same path for blocking callers.
 
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
@@ -12,8 +19,9 @@ use tensor::bug::OrBug;
 
 use crate::engine::{Engine, FrozenScorer, ReqObs, Request, Response};
 
-/// Batching-layer timings and engine flags for one request, returned by
-/// [`Batcher::submit_obs`] alongside the response.
+/// Batching-layer timings and engine flags for one request, handed to the
+/// reply callback (and returned by [`Batcher::submit_obs`]) alongside the
+/// response.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct JobReport {
     /// Queue wait: submit → batch dispatch (includes the coalescing wait).
@@ -25,11 +33,15 @@ pub struct JobReport {
     pub obs: ReqObs,
 }
 
+/// Called by the batch worker with a request's response, once its batch
+/// is scored.
+pub type Reply = Box<dyn FnOnce(Response, JobReport) + Send>;
+
 struct Job {
     req: Request,
     sampled: bool,
     submitted: Instant,
-    reply: mpsc::SyncSender<(Response, JobReport)>,
+    reply: Reply,
 }
 
 /// Hands requests from any number of threads to a single batching worker.
@@ -94,8 +106,7 @@ impl<M: FrozenScorer> Batcher<M> {
                         assemble_ns,
                         obs,
                     };
-                    // A caller that gave up is not an error for the batch.
-                    let _ = job.reply.send((resp, report));
+                    (job.reply)(resp, report);
                 }
             }
         });
@@ -117,6 +128,22 @@ impl<M: FrozenScorer> Batcher<M> {
     /// timing for its batch.
     pub fn submit_obs(&self, req: Request, sampled: bool) -> (Response, JobReport) {
         let (rtx, rrx) = mpsc::sync_channel(1);
+        self.enqueue(
+            req,
+            sampled,
+            Box::new(move |resp, report| {
+                // A caller that gave up is not an error for the batch.
+                let _ = rtx.send((resp, report));
+            }),
+        );
+        rrx.recv().or_bug("batch worker replies before exiting")
+    }
+
+    /// Queues one request without waiting for it. The batch worker calls
+    /// `reply` on its own thread once the request's batch is scored, so
+    /// `reply` should be quick: every later request in the batch, and
+    /// every later batch, waits for it.
+    pub fn enqueue(&self, req: Request, sampled: bool, reply: Reply) {
         self.tx
             .as_ref()
             .or_bug("batcher running")
@@ -124,10 +151,9 @@ impl<M: FrozenScorer> Batcher<M> {
                 req,
                 sampled,
                 submitted: Instant::now(),
-                reply: rtx,
+                reply,
             })
             .or_bug("batch worker alive");
-        rrx.recv().or_bug("batch worker replies before exiting")
     }
 }
 

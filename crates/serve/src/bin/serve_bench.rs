@@ -285,7 +285,8 @@ fn timed_pass(
                 batcher.submit(req);
             }
             Some(obs) => {
-                // The same sequence `server::run_obs` performs per request.
+                // The per-request work `server::run_obs` does (there, in
+                // the reply callback on the batch worker).
                 let id = obs.next_id();
                 let sampled = obs.sampled(id);
                 let t1 = Instant::now();

@@ -1,7 +1,7 @@
 //! The serving engine: frozen-model contract, per-user sessions, and the
 //! batched scoring dispatch.
 
-use std::collections::HashMap;
+use std::collections::{BinaryHeap, HashMap};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -284,18 +284,64 @@ pub struct Response {
 }
 
 /// Ranks catalog scores exactly like `models::recommend_top_k` with
-/// `exclude_seen = false`: skip padding index 0, stable descending sort,
-/// truncate to `k`.
+/// `exclude_seen = false`: skip padding index 0, order by score
+/// descending and then item id ascending (the order a stable descending
+/// sort gives), truncate to `k`. NaN scores rank last.
+///
+/// Keeps the best `k` in a max-heap whose top is the worst of them, so
+/// each item costs one comparison unless it beats that top: O(n log k)
+/// for any `k`.
 pub fn top_k(scores: &[f32], k: usize) -> (Vec<ItemId>, Vec<f32>) {
-    let mut ranked: Vec<(ItemId, f32)> = scores
-        .iter()
-        .enumerate()
-        .skip(1)
-        .map(|(i, &s)| (i, s))
-        .collect();
-    ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    ranked.truncate(k);
-    ranked.into_iter().unzip()
+    let mut best: BinaryHeap<Ranked> = BinaryHeap::with_capacity(k.min(scores.len()));
+    for cand in scores.iter().copied().enumerate().skip(1).map(Ranked) {
+        if best.len() < k {
+            best.push(cand);
+        } else if let Some(mut worst) = best.peek_mut() {
+            if cand < *worst {
+                *worst = cand;
+            }
+        }
+    }
+    best.into_sorted_vec().into_iter().map(|r| r.0).unzip()
+}
+
+/// An `(item, score)` pair ordered by [`rank_order`]: smaller ranks
+/// higher.
+#[derive(Clone, Copy)]
+struct Ranked((ItemId, f32));
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        rank_order(&self.0, &other.0)
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other).is_eq()
+    }
+}
+
+impl Eq for Ranked {}
+
+/// The ranking order: score descending (`-0.0` ties `+0.0`), then item
+/// id ascending, NaN scores last. A total order on distinct ids, which
+/// the standard sorts require of a comparator (they may panic without).
+fn rank_order(a: &(ItemId, f32), b: &(ItemId, f32)) -> std::cmp::Ordering {
+    use std::cmp::Ordering;
+    let by_score = match (a.1.is_nan(), b.1.is_nan()) {
+        (false, false) => b.1.partial_cmp(&a.1).unwrap_or(Ordering::Equal),
+        (true, true) => Ordering::Equal,
+        (true, false) => Ordering::Greater,
+        (false, true) => Ordering::Less,
+    };
+    by_score.then_with(|| a.0.cmp(&b.0))
 }
 
 struct Session<S> {
@@ -364,11 +410,7 @@ impl<M: FrozenScorer> Engine<M> {
                 (item, score)
             })
             .collect();
-        ranked.sort_by(|a, b| {
-            b.1.partial_cmp(&a.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.0.cmp(&b.0))
-        });
+        ranked.sort_unstable_by(rank_order);
         self.popularity = Some(ranked);
         self
     }
@@ -401,6 +443,13 @@ impl<M: FrozenScorer> Engine<M> {
                 (items, scores)
             }
         }
+    }
+
+    /// Length of a user's stored history, or `None` for an unknown user.
+    /// With a window cap it never exceeds
+    /// [`window_cap`](FrozenScorer::window_cap).
+    pub fn history_len(&self, user: u64) -> Option<usize> {
+        self.lock_sessions().get(&user).map(|s| s.history.len())
     }
 
     /// Number of live sessions.
@@ -454,10 +503,36 @@ impl<M: FrozenScorer> Engine<M> {
         }
     }
 
+    /// Applies a request to its user's session history (creating the
+    /// session if needed) and returns the updated history.
+    fn record(&self, req: &Request) -> Vec<ItemId> {
+        let mut sessions = self.lock_sessions();
+        let session = sessions.entry(req.user()).or_insert_with(|| Session {
+            history: Vec::new(),
+            state: None,
+        });
+        match req {
+            Request::Score { history, .. } => session.history = self.window(history).to_vec(),
+            Request::Append { item, .. } => self.push_item(&mut session.history, *item),
+        }
+        session.history.clone()
+    }
+
+    /// Appends an item to a history, keeping only the last `window_cap`
+    /// items when capped: every scoring path reads only that tail, so the
+    /// older items are dead weight.
+    fn push_item(&self, history: &mut Vec<ItemId>, item: ItemId) {
+        history.push(item);
+        let excess = history.len() - self.window(history).len();
+        history.drain(..excess);
+    }
+
     /// Scores a batch of requests, returning responses in request order.
     ///
     /// In [`Mode::Incremental`], runs of appendable requests for distinct
-    /// users are coalesced into single batched cache-extension steps.
+    /// users are coalesced into single batched cache-extension steps; a
+    /// second append for a user already in the run flushes the run first,
+    /// so it extends the state the first one left.
     pub fn handle_batch(&self, requests: &[Request]) -> Vec<Response> {
         self.handle_batch_obs(requests, false).0
     }
@@ -485,8 +560,9 @@ impl<M: FrozenScorer> Engine<M> {
             }
             Mode::Incremental => {
                 // Coalesce appendable requests (distinct users with live,
-                // non-full state) into one batched step; everything else
-                // flushes the group and runs alone.
+                // non-full state) into one batched step. A user already in
+                // the group flushes it first and then re-checks; everything
+                // else flushes the group and runs alone.
                 let mut group: Vec<(usize, u64, ItemId, usize)> = Vec::new();
                 for (i, req) in requests.iter().enumerate() {
                     // ANN retrieval only exists in [`Mode::Full`]; a request
@@ -499,7 +575,10 @@ impl<M: FrozenScorer> Engine<M> {
                     }
                     let fast = match req {
                         Request::Append { user, item, k, .. } => {
-                            if self.can_fast_append(*user) && !group.iter().any(|g| g.1 == *user) {
+                            if group.iter().any(|g| g.1 == *user) {
+                                self.flush_appends(&mut group, &mut out, &mut obs, timed);
+                            }
+                            if self.can_fast_append(*user) {
                                 group.push((i, *user, *item, *k));
                                 true
                             } else {
@@ -536,18 +615,7 @@ impl<M: FrozenScorer> Engine<M> {
     fn handle_full(&self, req: &Request, timed: bool) -> (Response, ReqObs) {
         let mut obs = ReqObs::default();
         let user = req.user();
-        let history = {
-            let mut sessions = self.lock_sessions();
-            let session = sessions.entry(user).or_insert_with(|| Session {
-                history: Vec::new(),
-                state: None,
-            });
-            match req {
-                Request::Score { history, .. } => session.history = history.clone(),
-                Request::Append { item, .. } => session.history.push(*item),
-            }
-            session.history.clone()
-        };
+        let history = self.record(req);
         if history.is_empty() {
             metrics::counter("serve.cold_start", false).inc();
             obs.cold_start = true;
@@ -666,7 +734,7 @@ impl<M: FrozenScorer> Engine<M> {
         for (((idx, user, item, k), (_, session)), user_scores) in
             group.iter().zip(taken.iter_mut()).zip(scores)
         {
-            session.history.push(*item);
+            self.push_item(&mut session.history, *item);
             let ((items, scores), retrieve_ns) = timed_ns(timed, || top_k(&user_scores, *k));
             obs[*idx].cache_hit = true;
             obs[*idx].forward_ns = forward_ns;
@@ -689,18 +757,7 @@ impl<M: FrozenScorer> Engine<M> {
     fn handle_slow(&self, req: &Request, timed: bool) -> (Response, ReqObs) {
         let mut obs = ReqObs::default();
         let user = req.user();
-        let history = {
-            let mut sessions = self.lock_sessions();
-            let session = sessions.entry(user).or_insert_with(|| Session {
-                history: Vec::new(),
-                state: None,
-            });
-            match req {
-                Request::Score { history, .. } => session.history = history.clone(),
-                Request::Append { item, .. } => session.history.push(*item),
-            }
-            session.history.clone()
-        };
+        let history = self.record(req);
         let window = self.window(&history);
         if window.is_empty() {
             // An empty history has no hidden state to score from; serve

@@ -12,7 +12,8 @@
 //!   single-step K/V-cache extensions with slide-on-overflow.
 //! * [`Batcher`] — a single worker that coalesces concurrent requests
 //!   into one GEMM-friendly batch (micro-batching with a bounded wait).
-//! * [`server`] — a line-delimited-JSON TCP front end (`msgc serve`).
+//! * [`server`] — a line-delimited-JSON TCP front end (`msgc serve`);
+//!   connections pipeline, with replies written in request order.
 //!
 //! Serving metrics flow through the [`telemetry`] registry:
 //! `serve.requests`, `serve.batch.size`, `serve.batch.wait_us`,
@@ -53,7 +54,7 @@ pub mod quant;
 pub mod server;
 
 pub use ann::{HnswConfig, HnswIndex};
-pub use batcher::{Batcher, JobReport};
+pub use batcher::{Batcher, JobReport, Reply};
 pub use engine::{top_k, Engine, FrozenScorer, Mode, ReqObs, Request, Response, TopK};
 pub use obs::{canary_probes, canary_recall, ObsConfig, ReqCtx, ServeObs, SloBudgets};
 pub use quant::{quantize_gated, QuantReport};

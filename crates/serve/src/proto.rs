@@ -28,6 +28,13 @@
 //! {"error":"..."}
 //! ```
 //!
+//! Every request line gets exactly one response line, and a connection
+//! gets its responses in request order even when it writes many requests
+//! before reading any (see [`crate::server`] for the pipelining contract:
+//! at most 64 unwritten replies per connection, the 100 ms write-timeout
+//! close, the 1 MiB line cap). Responses are formatted on the batch
+//! worker.
+//!
 //! Scores are printed with Rust's shortest-round-trip float formatting and
 //! parsed back as `f64` before narrowing to `f32`; since `f64` carries more
 //! than double an `f32`'s significand, the narrowing recovers the exact

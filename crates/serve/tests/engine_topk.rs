@@ -1,10 +1,12 @@
 //! Engine-level retrieval contracts: ANN vs exact top-k, deterministic
 //! cold-start ranking for empty histories, and the padding sweep (item id
-//! 0 must never be recommended by any path).
+//! 0 must never be recommended by any path), and the bounded top-k
+//! against the full stable sort it replaced.
 
 use meta_sgcl::{MetaSgcl, MetaSgclConfig};
 use models::NetConfig;
 use nn::Freeze;
+use proptest::prelude::*;
 use serve::{top_k, Engine, HnswConfig, HnswIndex, Mode, Request, TopK};
 
 fn model(num_items: usize, dim: usize) -> MetaSgcl {
@@ -131,4 +133,66 @@ fn pad_id_is_never_ranked_even_with_the_highest_score() {
             assert_eq!(s, vec![2.5, 1.5, 0.5]);
         }
     }
+}
+
+/// The reference ranking: a stable descending sort over every item. Defined only without NaN scores.
+fn stable_sort_top_k(scores: &[f32], k: usize) -> (Vec<usize>, Vec<f32>) {
+    let mut ranked: Vec<(usize, f32)> = scores.iter().copied().enumerate().skip(1).collect();
+    ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    ranked.truncate(k);
+    ranked.into_iter().unzip()
+}
+
+fn bits(scores: &[f32]) -> Vec<u32> {
+    scores.iter().map(|s| s.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn bounded_top_k_matches_the_stable_sort(
+        // A few distinct levels, so ties are common; -0.0 ties +0.0.
+        levels in prop::collection::vec(
+            (-5i32..4).prop_map(|v| if v == -5 { -0.0f32 } else { v as f32 * 0.5 }),
+            1..300,
+        ),
+        k in 0usize..320,
+    ) {
+        let (items, scores) = top_k(&levels, k);
+        let (want_items, want_scores) = stable_sort_top_k(&levels, k);
+        prop_assert_eq!(items, want_items);
+        prop_assert_eq!(bits(&scores), bits(&want_scores));
+    }
+}
+
+#[test]
+fn bounded_top_k_matches_the_stable_sort_at_the_edges() {
+    let n = 2_000;
+    let scores: Vec<f32> = (0..=n)
+        .map(|i| ((i * 7919) % 613) as f32 * 0.25 - 50.0)
+        .collect();
+    for k in [0, 1, 3, 10, n / 8, n - 1, n, n + 1] {
+        let (items, s) = top_k(&scores, k);
+        let (want_items, want_s) = stable_sort_top_k(&scores, k);
+        assert_eq!(items, want_items, "k = {k}");
+        assert_eq!(bits(&s), bits(&want_s), "k = {k}");
+    }
+}
+
+#[test]
+fn nan_scores_rank_last() {
+    let nan = f32::NAN;
+    // Index 0 is padding and never ranked.
+    let scores = [9.0, nan, 1.0, nan, 3.0, -2.0, 3.0];
+    for k in [2, 6] {
+        let (items, _) = top_k(&scores, k);
+        assert_eq!(items, [4, 6, 2, 5, 1, 3][..k].to_vec(), "k = {k}");
+    }
+    // Small and large k agree with NaNs present.
+    let mut many = vec![nan; 100];
+    many[40] = 1.0;
+    many[70] = 2.0;
+    assert_eq!(top_k(&many, 3).0, vec![70, 40, 1]);
+    assert_eq!(top_k(&many, 50).0[..3].to_vec(), vec![70, 40, 1]);
 }

@@ -199,11 +199,51 @@ fn batched_appends_count_one_hit_per_request_not_per_flush() {
     assert!(obs.iter().all(|o| o.cache_hit));
     assert_eq!(d, implied(&obs));
 
-    // Duplicate users in one batch cannot coalesce: the second append for
-    // user 1 flushes the group and re-encodes (1 hit + 1 miss).
+    // Duplicate users in one batch: the second append for user 1 flushes
+    // the group and then extends the state the first one left (2 hits).
     let (d, obs) = run(&engine, &[append(1, 9, None), append(1, 10, None)]);
-    assert_eq!((d.cache_hit, d.cache_miss), (1, 1));
+    assert_eq!((d.cache_hit, d.cache_miss), (2, 0));
     assert_eq!(d, implied(&obs));
+}
+
+#[test]
+fn same_user_appends_in_one_batch_stay_on_the_fast_path() {
+    let _g = lock();
+    let seed = [score(1, vec![1, 2], None), score(2, vec![3], None)];
+    let batch = [
+        append(1, 4, None),
+        append(1, 5, None),
+        append(2, 6, None),
+        append(1, 7, None),
+    ];
+    let m = model(12);
+    let batched = Engine::new(m.freeze(), Mode::Incremental);
+    run(&batched, &seed);
+    let before = counts();
+    let (got, obs) = batched.handle_batch_obs(&batch, false);
+    let d = delta(before, counts());
+    assert_eq!((d.cache_hit, d.reencode, d.cache_miss), (4, 0, 0));
+    assert!(obs.iter().all(|o| o.cache_hit));
+    assert_eq!(d, implied(&obs));
+
+    // Bitwise the replies of the same requests one batch at a time.
+    let sequential = Engine::new(m.freeze(), Mode::Incremental);
+    run(&sequential, &seed);
+    let want: Vec<_> = batch
+        .iter()
+        .map(|r| sequential.handle_batch(std::slice::from_ref(r)).remove(0))
+        .collect();
+    let bits = |rs: &[serve::Response]| -> Vec<(Vec<usize>, Vec<u32>)> {
+        rs.iter()
+            .map(|r| {
+                (
+                    r.items.clone(),
+                    r.scores.iter().map(|s| s.to_bits()).collect(),
+                )
+            })
+            .collect()
+    };
+    assert_eq!(bits(&got), bits(&want));
 }
 
 #[test]

@@ -92,6 +92,44 @@ fn incremental_mode_matches_left_aligned_reference() {
 }
 
 #[test]
+fn session_history_keeps_only_the_window() {
+    let m = model(1);
+    let cap = 6;
+    for mode in [Mode::Full, Mode::Incremental] {
+        let engine = Engine::new(m.freeze(), mode);
+        let mut history = vec![3usize, 9, 1];
+        engine.handle_batch(&[Request::Score {
+            user: 7,
+            history: history.clone(),
+            k: 4,
+            topk: None,
+        }]);
+        // 3 × cap appends: the stored history stops growing at the cap,
+        // and every reply still equals the reference on the whole history.
+        for step in 0..3 * cap {
+            let item = 1 + (step * 5) % 12;
+            history.push(item);
+            let r = engine.handle_batch(&[Request::Append {
+                user: 7,
+                item,
+                k: 4,
+                topk: None,
+            }]);
+            let scores = match mode {
+                Mode::Full => m.score_sequence(&history),
+                Mode::Incremental => {
+                    m.score_left_aligned(&history[history.len().saturating_sub(cap)..])
+                }
+            };
+            let (want_items, want_scores) = top_k(&scores, 4);
+            assert_eq!(r[0].items, want_items, "{mode:?} history {history:?}");
+            assert_eq!(r[0].scores, want_scores, "{mode:?} history {history:?}");
+        }
+        assert_eq!(engine.history_len(7), Some(cap), "{mode:?}");
+    }
+}
+
+#[test]
 fn mixed_batch_coalesces_and_stays_exact() {
     let m = model(0);
     let engine = Engine::new(m.freeze(), Mode::Incremental);
@@ -182,6 +220,8 @@ fn gru4rec_served_matches_offline() {
         assert_eq!(r[0].items, want_items, "history {history:?}");
         assert_eq!(r[0].scores, want_scores);
     }
+    // No window cap, so the whole history is kept.
+    assert_eq!(engine.history_len(1), Some(history.len()));
 }
 
 #[test]

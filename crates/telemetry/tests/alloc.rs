@@ -9,19 +9,36 @@
 //! allocations.
 //!
 //! This lives in its own integration-test binary because a
-//! `#[global_allocator]` is process-wide.
+//! `#[global_allocator]` is process-wide. The count, though, is per
+//! thread: the test harness allocates on its own threads while the test
+//! runs, and those allocations say nothing about the metric ops.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocation calls made by the current thread. `const`-initialised
+    /// and without a destructor, so reading it never allocates.
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+}
 
-// SAFETY: delegates verbatim to `System`; the counter is a relaxed atomic.
+fn count() {
+    // `try_with` cannot fail for a const, destructor-free thread-local;
+    // it keeps the allocator panic-free regardless.
+    let _ = ALLOC_CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+fn allocs_on_this_thread() -> u64 {
+    ALLOC_CALLS.with(Cell::get)
+}
+
+// SAFETY: delegates verbatim to `System`; the counter is a thread-local
+// cell that never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.alloc(layout)
     }
 
@@ -30,7 +47,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        count();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -53,7 +70,7 @@ fn disabled_telemetry_hot_loop_allocates_nothing() {
     s.record(125);
 
     telemetry::set_enabled(false);
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before = allocs_on_this_thread();
     for i in 0..100_000u64 {
         c.add(i);
         c.inc();
@@ -62,7 +79,7 @@ fn disabled_telemetry_hot_loop_allocates_nothing() {
         h.record_f64(i as f64 * 0.25);
         s.record(i);
     }
-    let after = ALLOC_CALLS.load(Ordering::Relaxed);
+    let after = allocs_on_this_thread();
     assert_eq!(
         after - before,
         0,
@@ -72,7 +89,7 @@ fn disabled_telemetry_hot_loop_allocates_nothing() {
     // The enabled path on already-interned metrics is also allocation-free
     // (pure atomics) — keeps the overhead story honest when telemetry is on.
     telemetry::set_enabled(true);
-    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let before = allocs_on_this_thread();
     for i in 0..100_000u64 {
         c.add(i);
         g.set(i as f64);
@@ -81,7 +98,7 @@ fn disabled_telemetry_hot_loop_allocates_nothing() {
         // pure atomics too (the ≤2% serve-overhead budget assumes it).
         s.record(i);
     }
-    let after = ALLOC_CALLS.load(Ordering::Relaxed);
+    let after = allocs_on_this_thread();
     assert_eq!(
         after - before,
         0,
